@@ -977,6 +977,27 @@ let cache_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 
+(* Run a started wire front end until SIGTERM / SIGINT / a SHUTDOWN
+   verb, then drain and print the final STATS — the lifecycle shared by
+   [serve], [route] and [cluster]. *)
+let run_frontend ~banner ~host front =
+  let module F = Blas_server.Frontend in
+  (* The handler must stay async-signal-safe: one atomic store.  The
+     drain itself runs below, on the main thread. *)
+  let request _ = F.request_shutdown front in
+  ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request));
+  ignore (Sys.signal Sys.sigint (Sys.Signal_handle request));
+  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+  Printf.printf "%s on %s:%d\n%!" banner host (F.port front);
+  Option.iter
+    (fun p -> Printf.printf "metrics on http://%s:%d/metrics\n%!" host p)
+    (F.metrics_port front);
+  F.wait front;
+  prerr_endline "draining...";
+  F.stop front;
+  print_endline (F.stats_payload front);
+  `Ok ()
+
 let serve () name host port docs_dir jobs max_inflight queue_depth timeout_ms
     no_cache allow_sleep metrics_port slow_ms slow_log group_commit_ms
     shard_of pages =
@@ -1025,23 +1046,9 @@ let serve () name host port docs_dir jobs max_inflight queue_depth timeout_ms
         group_commit_ms;
       }
     in
-    let server = Blas_server.Server.start config ~docs in
-    (* The handler must stay async-signal-safe: one atomic store.  The
-       drain itself runs below, on the main thread. *)
-    let request _ = Blas_server.Server.request_shutdown server in
-    ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request));
-    ignore (Sys.signal Sys.sigint (Sys.Signal_handle request));
-    ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-    Printf.printf "serving %d document(s) on %s:%d\n%!" (List.length docs) host
-      (Blas_server.Server.port server);
-    Option.iter
-      (fun p -> Printf.printf "metrics on http://%s:%d/metrics\n%!" host p)
-      (Blas_server.Server.metrics_port server);
-    Blas_server.Server.wait server;
-    prerr_endline "draining...";
-    Blas_server.Server.stop server;
-    print_endline (Blas_server.Server.stats_payload server);
-    `Ok ()
+    run_frontend ~host
+      ~banner:(Printf.sprintf "serving %d document(s)" (List.length docs))
+      (Blas_server.Server.frontend (Blas_server.Server.start config ~docs))
 
 let serve_cmd =
   let host =
@@ -1328,22 +1335,9 @@ let run_router config =
         Printf.sprintf "cannot start router: %s%s" (Unix.error_message e)
           (if arg = "" then "" else " (" ^ arg ^ ")") )
   | router ->
-    let request _ = Router.request_shutdown router in
-    ignore (Sys.signal Sys.sigterm (Sys.Signal_handle request));
-    ignore (Sys.signal Sys.sigint (Sys.Signal_handle request));
-    ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-    Printf.printf "routing %d shard(s) on %s:%d\n%!" (Router.shards router)
-      config.Router.host (Router.port router);
-    Option.iter
-      (fun p ->
-        Printf.printf "metrics on http://%s:%d/metrics\n%!"
-          config.Router.host p)
-      (Router.metrics_port router);
-    Router.wait router;
-    prerr_endline "draining...";
-    Router.stop router;
-    print_endline (Router.stats_payload router);
-    `Ok ()
+    run_frontend ~host:config.Router.host
+      ~banner:(Printf.sprintf "routing %d shard(s)" (Router.shards router))
+      (Router.frontend router)
 
 let route () host port shards replicas hedge max_inflight queue_depth
     timeout_ms metrics_port =

@@ -1,5 +1,5 @@
-(** The scatter-gather router: the ordinary wire protocol on the front,
-    pooled client connections to N shard groups (primary + read
+(** The scatter-gather router: the ordinary wire protocol on the front
+    (a {!Blas_server.Frontend} backend), pooled client connections to N shard groups (primary + read
     replicas) on the back.  Whole documents route by the shard that
     announced them; range-partitioned documents are answered by
     scattering per-chunk sub-queries and merging their answers in
@@ -63,29 +63,18 @@ type t
     cannot be bound. *)
 val start : ?registry:Blas_obs.Metrics.t -> config -> t
 
+(** The router's wire front end (shared with the single server).  Its
+    STATS payload adds per-endpoint breaker / pool / latency detail,
+    the routing table and the hedge and replication counters; METRICS
+    refreshes the breaker gauges at scrape time. *)
+val frontend : t -> Blas_server.Frontend.t
+
 (** The actual bound port (useful with [port = 0]). *)
 val port : t -> int
-
-(** The bound port of the HTTP metrics listener, when configured. *)
-val metrics_port : t -> int option
 
 val registry : t -> Blas_obs.Metrics.t
 
 val shards : t -> int
-
-(** The router STATS reply body (pretty-printed JSON): admission state,
-    per-endpoint breaker / pool / latency detail, the routing table,
-    hedge and replication counters, full metrics. *)
-val stats_payload : t -> string
-
-(** The METRICS reply body (breaker gauges refreshed at scrape time). *)
-val metrics_payload : t -> [ `Prom | `Json ] -> string
-
-(** Flag a graceful shutdown; async-signal-safe. *)
-val request_shutdown : t -> unit
-
-(** Block until {!stop} completed or a shutdown was requested. *)
-val wait : t -> unit
 
 (** Graceful drain; idempotent.  Finishes admitted requests, closes
     front connections and the pooled back-end connections. *)

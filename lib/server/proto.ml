@@ -11,8 +11,8 @@
       STATS TIMESERIES                       (ring of periodic metric snapshots)
       METRICS                                (Prometheus text exposition)
       METRICS JSON
-      DEADLINE <ms>                          (header: applies to the next command)
-      TRACE                                  (header: trace the next QUERY / UPDATE)
+      DEADLINE <ms>                          (header: one-shot, see below)
+      TRACE                                  (header: one-shot, trace the next request)
       TRACE ID <id>                          (header: trace under the given id)
       TRACE BG <id>                          (header: record-only trace — plain reply)
       TRACE GET <id>                         (a recent trace by id)
@@ -27,6 +27,10 @@
       QUIT
       SHUTDOWN
     v}
+
+    Headers carry no reply frame.  A pending [DEADLINE] or [TRACE*]
+    header is consumed by the next non-header command, whatever its
+    verb or outcome ([BUSY], a refused [SLEEP], [STATS], [ERR] ...).
 
     [TRACE BG] is the router's fan-out form: the shard stores the trace
     in its ring under the given id (retrievable with [TRACE GET]) but
@@ -72,9 +76,9 @@ type command =
   | Stats
   | Stats_timeseries  (** the ring of periodic registry snapshots *)
   | Metrics of [ `Prom | `Json ]  (** registry exposition *)
-  | Deadline of int  (** header: a deadline in ms for the next command *)
-  | Trace_hdr  (** header: trace the next QUERY / UPDATE *)
-  | Trace_id of string  (** header: trace the next command under this id *)
+  | Deadline of int  (** header: a deadline in ms, one-shot *)
+  | Trace_hdr  (** header: trace the next request, one-shot *)
+  | Trace_id of string  (** header: {!Trace_hdr} under this id *)
   | Trace_bg of string
       (** header: record-only trace — store under this id, plain reply *)
   | Trace_get of string  (** a recent trace by id *)

@@ -33,9 +33,13 @@ type command =
   | Stats
   | Stats_timeseries  (** the ring of periodic registry snapshots *)
   | Metrics of [ `Prom | `Json ]  (** registry exposition *)
-  | Deadline of int  (** header: deadline in ms for the next command *)
-  | Trace_hdr  (** header: trace the next QUERY / UPDATE *)
-  | Trace_id of string  (** header: trace the next command under this id *)
+  | Deadline of int
+      (** header: deadline in ms, consumed by the next non-header
+          command, whatever its verb or outcome *)
+  | Trace_hdr
+      (** header: trace the next request; consumed by the next
+          non-header command, whatever its verb or outcome *)
+  | Trace_id of string  (** header: {!Trace_hdr} under this id *)
   | Trace_bg of string
       (** header: record-only trace — stored under this id, plain reply
           (the router's fan-out form: merging needs answer frames) *)

@@ -1,7 +1,6 @@
-(** The resident TCP query server: bounded admission (overload answers
-    [BUSY], never blocks), per-request deadlines with cooperative
-    cancellation (late answers become [TIMEOUT]), per-document
-    reader–writer discipline via {!Service}, and a graceful drain. *)
+(** The resident TCP query server: the {!Frontend} (bounded admission,
+    deadlines, tracing, graceful drain) over the per-document
+    reader–writer discipline of a {!Service}. *)
 
 type config = {
   name : string;  (** identity announced in the HELLO handshake *)
@@ -34,9 +33,10 @@ val default_config : config
 
 type t
 
-(** [start ?registry config ~docs] — bind, spawn the accept and worker
-    threads, return immediately.  [registry] receives the server
-    metrics (fresh by default).
+(** [start ?registry config ~docs] — host [docs] behind a
+    {!Frontend}: bind, spawn the accept and worker threads, return
+    immediately.  [registry] receives the server metrics (fresh by
+    default).
     @raise Unix.Unix_error when the address cannot be bound. *)
 val start :
   ?registry:Blas_obs.Metrics.t ->
@@ -44,35 +44,18 @@ val start :
   docs:(string * Blas.Storage.t) list ->
   t
 
+(** The server's wire front end: {!Frontend.stats_payload}, the HTTP
+    listener's port, {!Frontend.request_shutdown} and
+    {!Frontend.wait}.  Its STATS payload adds the pool width ([jobs])
+    and the per-document lock / cache block. *)
+val frontend : t -> Frontend.t
+
 (** The actual bound port (useful with [port = 0]). *)
 val port : t -> int
-
-(** The bound port of the HTTP metrics listener, when configured. *)
-val metrics_port : t -> int option
 
 val registry : t -> Blas_obs.Metrics.t
 
 val service : t -> Service.t
-
-(** The STATS reply body (pretty-printed JSON): server phase and
-    admission state, per-document lock/cache occupancy, full metrics. *)
-val stats_payload : t -> string
-
-(** The METRICS reply body: the registry — refreshed from the disk and
-    buffer-pool totals — as Prometheus text exposition or JSON. *)
-val metrics_payload : t -> [ `Prom | `Json ] -> string
-
-(** The STATS TIMESERIES reply body: the snapshot ring, oldest first. *)
-val timeseries_payload : t -> string
-
-(** Flag a graceful shutdown; async-signal-safe (a single atomic
-    store), so a SIGTERM handler may call it directly.  {!wait}
-    observes the flag; the owner then runs {!stop}. *)
-val request_shutdown : t -> unit
-
-(** Block until {!stop} completed or a shutdown was requested (SHUTDOWN
-    verb or {!request_shutdown}). *)
-val wait : t -> unit
 
 (** Graceful drain; idempotent.  Stops accepting, rejects new
     admissions, finishes queued and in-flight requests (each still

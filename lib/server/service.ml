@@ -269,11 +269,9 @@ let update_full t ?(tracer = Blas_obs.Trace.disabled) ~doc (edit : Proto.edit)
     | None -> ());
     result
 
-let update_info t ?tracer ~doc (edit : Proto.edit) =
-  let reply, info, _ = update_full t ?tracer ~doc edit in
-  (reply, info)
-
-let update t ~doc (edit : Proto.edit) = fst (update_info t ~doc edit)
+let update t ~doc (edit : Proto.edit) =
+  let reply, _, _ = update_full t ~doc edit in
+  reply
 
 (** [invalidate t ~doc payload] — the INVAL verb: apply a §11 precise
     invalidation record (as serialized by {!Proto.invalidation_to_string})

@@ -47,6 +47,10 @@ type info = {
   i_actual_cost : float option;  (** measured cost of the executed plan *)
 }
 
+(** The {!info} of a request that touched no document (lock wait and
+    page reads zero, cache ["n/a"]). *)
+val no_info : info
+
 (** [query t ~token ~doc ~translator ~engine xpath] — run under the
     document's shared lock, cancelling cooperatively through [token];
     [Timeout] when the token fired. *)
@@ -76,16 +80,13 @@ val query_info :
     (cache invalidation rides on {!Blas.Update}). *)
 val update : t -> doc:string -> Proto.edit -> Proto.reply
 
-(** {!update} plus its {!info}; with an enabled [tracer] the lock wait,
-    edit application and WAL I/O are recorded. *)
-val update_info :
-  t -> ?tracer:Blas_obs.Trace.t -> doc:string -> Proto.edit -> Proto.reply * info
-
-(** {!update_info} plus — on success — the §11 precise invalidation
-    record of the edit, which the router serializes into the UPDATEX
-    reply and pushes to read replicas.  With group commit enabled, the
-    durability wait happens after the write lock is released, so
-    concurrent updates can batch their WAL fsyncs. *)
+(** {!update} plus its {!info} and — on success — the §11 precise
+    invalidation record of the edit, which the UPDATEX reply carries
+    and the router pushes to read replicas.  With an enabled [tracer]
+    the lock wait, edit application and WAL I/O are recorded.  With
+    group commit enabled, the durability wait happens after the write
+    lock is released, so concurrent updates can batch their WAL
+    fsyncs. *)
 val update_full :
   t ->
   ?tracer:Blas_obs.Trace.t ->

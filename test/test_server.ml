@@ -2,8 +2,12 @@
     reader–writer lock, the socket-free {!Blas_server.Service}, and a
     live in-process TCP server — protocol robustness (oversized frames,
     garbage, half-closed sockets, mid-query disconnects), admission
-    control (BUSY), deadlines (TIMEOUT), a multi-client soak against
-    live edits, and the graceful drain.
+    control (BUSY), deadlines (TIMEOUT), one-shot headers, a
+    multi-client soak against live edits, and the graceful drain.
+
+    The tests of the shared wire front end ({!Blas_server.Frontend})
+    run twice: against a single server and against a router over an
+    in-process one-shard cluster.
 
     Every live test binds port 0 (ephemeral), so the suite runs in
     parallel with anything. *)
@@ -13,6 +17,9 @@ module Srv = Blas_server.Server
 module C = Blas_server.Client
 module Svc = Blas_server.Service
 module Rwlock = Blas_server.Rwlock
+module Fe = Blas_server.Frontend
+module Router = Blas_cluster.Router
+module Local = Blas_cluster.Local
 
 let jobs =
   match Sys.getenv_opt "BLAS_TEST_JOBS" with
@@ -363,6 +370,153 @@ let expect_ok name = function
   | P.Ok_payload p -> p
   | reply -> Alcotest.failf "%s: expected OK, got %s" name (P.reply_to_string reply)
 
+let find_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = find_sub hay needle <> None
+
+(* ------------------------------------------------------------------ *)
+(* Front-end fixtures: one backend or the other behind the same wire   *)
+
+(* A live front end under test. *)
+type front = {
+  port : int;
+  fe : Fe.t;
+  hog : int -> unit -> P.reply;
+      (** [hog ms] holds one of the front end's workers for about [ms]
+          and returns once it does; the thunk joins the holding
+          request and returns its reply *)
+}
+
+type backend = {
+  label : string;  (** test-name prefix *)
+  prefix : string;  (** metric prefix *)
+  spans : string list;
+      (** spans a traced QUERY shows besides request and queue-wait *)
+  with_front :
+    ?max_inflight:int ->
+    ?queue_depth:int ->
+    ?metrics_port:int ->
+    ?allow_sleep:bool ->
+    (string * Blas_xml.Types.tree) list ->
+    (front -> unit) ->
+    unit;
+}
+
+(* Poll [busy] until it holds (bounded: a stuck wait fails the test
+   later, on the reply it then checks). *)
+let await busy =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (busy ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done
+
+(* One of the front end's workers is busy. *)
+let await_inflight prefix fe =
+  let gauge = Blas_obs.Metrics.gauge (Fe.registry fe) (prefix ^ ".inflight") in
+  await (fun () -> Blas_obs.Metrics.gauge_value gauge >= 1.0)
+
+(* Run [request] on its own thread until a worker of [fe] holds it. *)
+let hold prefix fe request =
+  let reply = ref P.Busy in
+  let thread = Thread.create (fun () -> reply := request ()) () in
+  await_inflight prefix fe;
+  fun () ->
+    Thread.join thread;
+    !reply
+
+let server_backend =
+  {
+    label = "live: ";
+    prefix = "server";
+    spans = [ "lock-wait"; "cache-probe" ];
+    with_front =
+      (fun ?(max_inflight = live_config.max_inflight)
+           ?(queue_depth = live_config.queue_depth) ?metrics_port
+           ?(allow_sleep = true) docs f ->
+        let config =
+          {
+            live_config with
+            max_inflight;
+            queue_depth;
+            metrics_port;
+            allow_sleep;
+          }
+        in
+        let docs =
+          List.map (fun (n, tree) -> (n, Blas.index_of_tree tree)) docs
+        in
+        with_live ~config docs (fun srv port ->
+            let fe = Srv.frontend srv in
+            f
+              {
+                port;
+                fe;
+                hog =
+                  (fun ms ->
+                    hold "server" fe (fun () ->
+                        C.with_client port (fun c -> C.sleep c ms)));
+              }));
+  }
+
+(* The router cannot SLEEP; its worker is held by a QUERY queued on the
+   shard behind a SLEEP sent to the shard directly (the shard runs one
+   worker). *)
+let router_backend =
+  {
+    label = "live (router): ";
+    prefix = "router";
+    spans = [ "fanout-s0" ];
+    with_front =
+      (fun ?(max_inflight = Router.default_config.max_inflight)
+           ?(queue_depth = Router.default_config.queue_depth) ?metrics_port
+           ?allow_sleep:_ docs f ->
+        Local.with_cluster ~shards:1
+          ~server_config:{ live_config with Srv.max_inflight = 1 }
+          ~router_config:
+            {
+              Router.default_config with
+              max_inflight;
+              queue_depth;
+              metrics_port;
+            }
+          ~docs:
+            (List.map
+               (fun (n, tree) -> (n, fun () -> Blas.index_of_tree tree))
+               docs)
+          (fun cluster ->
+            let port = Local.port cluster in
+            let fe = Router.frontend (Local.router cluster) in
+            let doc = fst (List.hd docs) in
+            let hog ms =
+              let shard = Local.endpoint_port cluster 0 0 in
+              let sleeper =
+                Thread.create
+                  (fun () ->
+                    C.with_client shard (fun c -> ignore (C.sleep c ms)))
+                  ()
+              in
+              await (fun () ->
+                  contains (C.with_client shard C.stats) "\"inflight\": 1");
+              let finish =
+                hold "router" fe (fun () ->
+                    C.with_client port (fun c ->
+                        C.query c ~doc ~translator:Blas.Pushup
+                          ~engine:Blas.Rdbms "//LINE"))
+              in
+              fun () ->
+                Thread.join sleeper;
+                finish ()
+            in
+            f { port; fe; hog }));
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Live: basics and byte-identical concurrent queries                  *)
 
@@ -459,28 +613,24 @@ let live_concurrent_queries () =
 (* ------------------------------------------------------------------ *)
 (* Live: admission control and deadlines                               *)
 
-let live_busy () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  let config = { live_config with Srv.max_inflight = 1; queue_depth = 0 } in
-  with_live ~config docs (fun _srv port ->
-      let slow = C.connect port in
-      let slow_reply = ref P.Busy in
-      let holder =
-        Thread.create (fun () -> slow_reply := C.sleep slow 600) ()
-      in
-      (* Let the slow request occupy the only worker. *)
-      Thread.delay 0.15;
+let live_busy b =
+  b.with_front ~max_inflight:1 ~queue_depth:0
+    [ ("plays", small_plays ()) ]
+    (fun fr ->
+      (* Occupy the only worker. *)
+      let holder = fr.hog 600 in
       let t0 = Unix.gettimeofday () in
-      C.with_client port (fun c ->
-          match C.sleep c 10 with
+      C.with_client fr.port (fun c ->
+          match
+            C.query c ~doc:"plays" ~translator:Blas.Pushup ~engine:Blas.Rdbms
+              "//LINE"
+          with
           | P.Busy ->
             Test_util.check_bool "BUSY is immediate, not a hang" true
               (Unix.gettimeofday () -. t0 < 0.4)
           | reply -> Alcotest.failf "expected BUSY, got %s" (P.reply_to_string reply));
-      Thread.join holder;
-      C.close slow;
       Test_util.check_bool "slow request still finished" true
-        (match !slow_reply with P.Ok_payload _ -> true | _ -> false))
+        (match holder () with P.Ok_payload _ -> true | _ -> false))
 
 let live_timeout () =
   let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
@@ -509,9 +659,8 @@ let raw_socket port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-let live_oversized_frame () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  with_live docs (fun _srv port ->
+let live_oversized_frame b =
+  b.with_front [ ("plays", small_plays ()) ] (fun { port; _ } ->
       let fd = raw_socket port in
       let io = P.Io.of_fd fd in
       (* 72 KiB with no terminator: over max_frame.  The server may
@@ -531,9 +680,8 @@ let live_oversized_frame () =
       (* The server survived. *)
       C.with_client port (fun c -> C.ping c))
 
-let live_garbage_keeps_connection () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  with_live docs (fun _srv port ->
+let live_garbage_keeps_connection b =
+  b.with_front [ ("plays", small_plays ()) ] (fun { port; _ } ->
       let fd = raw_socket port in
       let io = P.Io.of_fd fd in
       P.Io.write io "\x00\x01\xfe binary garbage\n";
@@ -551,15 +699,17 @@ let live_garbage_keeps_connection () =
       | _ -> Alcotest.fail "connection did not survive garbage");
       Unix.close fd)
 
-let live_half_close_and_disconnect () =
-  let hosted = Blas.index_of_tree (small_plays ()) in
+let live_half_close_and_disconnect b =
+  let tree = small_plays () in
+  (* Labels are deterministic: a fresh index of the same tree has the
+     hosted copy's root start. *)
   let root_start =
     List.fold_left
       (fun acc (n : Blas_xpath.Doc.node) -> min acc n.start)
-      max_int (Blas.Storage.doc hosted).Blas_xpath.Doc.all
+      max_int
+      (Blas.Storage.doc (Blas.index_of_tree tree)).Blas_xpath.Doc.all
   in
-  let docs = [ ("plays", hosted) ] in
-  with_live docs (fun _srv port ->
+  b.with_front [ ("plays", tree) ] (fun { port; _ } ->
       (* Half-close: send side shut down, reply still readable. *)
       let fd = raw_socket port in
       let io = P.Io.of_fd fd in
@@ -727,17 +877,6 @@ let live_soak () =
 (* ------------------------------------------------------------------ *)
 (* Live: observability — traces, metrics, time series, slow log        *)
 
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let contains hay needle = find_sub hay needle <> None
-
 (* The value of ["key":"<string>"] in a JSON body (shallow scan). *)
 let extract_quoted body key =
   let marker = Printf.sprintf "\"%s\":\"" key in
@@ -818,13 +957,12 @@ let live_observability () =
   let config =
     {
       live_config with
-      Srv.metrics_port = Some 0;
-      slow_ms = Some 0.0;
+      Srv.slow_ms = Some 0.0;
       slow_log = slow_path;
       ts_interval_ms = 20;
     }
   in
-  with_live ~config [ ("plays", hosted) ] (fun srv port ->
+  with_live ~config [ ("plays", hosted) ] (fun _srv port ->
       C.with_client port (fun c ->
           (* A TRACE'd query carries its span tree, and the leaves
              reconcile with the METRICS deltas around the request. *)
@@ -857,26 +995,6 @@ let live_observability () =
           Test_util.check_bool "cold cache read pages" true (pages > 0);
           Test_util.check_int "pager-io reconciles with METRICS" pages
             (int_of_float page_delta);
-          (* The trace is retained for TRACE GET, by its id. *)
-          let id = extract_quoted body "trace_id" in
-          (match C.trace_get c id with
-          | P.Ok_payload stored ->
-            Test_util.check_bool "stored trace is the reply body" true
-              (contains stored id && contains stored "queue-wait")
-          | reply ->
-            Alcotest.failf "TRACE GET: %s" (P.reply_to_string reply));
-          (match C.trace_get c "nosuch-id" with
-          | P.Err _ -> ()
-          | reply ->
-            Alcotest.failf "TRACE GET nosuch: %s" (P.reply_to_string reply));
-          (* An untraced reply stays the plain payload. *)
-          let plain =
-            expect_ok "plain query"
-              (C.query c ~doc:"plays" ~translator:Blas.Pushup
-                 ~engine:Blas.Rdbms "/PLAYS/PLAY/ACT/SCENE/SPEECH/LINE")
-          in
-          Test_util.check_bool "no trace envelope without the header" false
-            (contains plain "trace_id");
           (* A TRACE'd update shows the write path: apply + WAL I/O. *)
           let ubody =
             expect_ok "traced update"
@@ -888,24 +1006,11 @@ let live_observability () =
               Test_util.check_bool ("update trace has " ^ span) true
                 (contains ubody (Printf.sprintf "\"name\":\"%s\"" span)))
             [ "request"; "lock-wait"; "apply"; "wal-io" ];
-          (* METRICS JSON and the live time series parse-shape. *)
-          let mjson = C.metrics ~json:true c in
-          Test_util.check_bool "metrics json is a list" true
-            (String.length mjson > 0 && mjson.[0] = '[');
+          (* The sampler fills the time series every interval. *)
           Thread.delay 0.06;
           let ts = C.timeseries c in
           Test_util.check_bool "timeseries shape" true
-            (String.length ts > 0 && ts.[0] = '[' && contains ts "at_ms");
-          (* The HTTP listener serves the same exposition. *)
-          match Srv.metrics_port srv with
-          | None -> Alcotest.fail "metrics port not bound"
-          | Some hp ->
-            let page = http_get hp "/metrics" in
-            Test_util.check_bool "http 200" true (contains page "200 OK");
-            Test_util.check_bool "http exposition" true
-              (contains page "server_requests_total");
-            let missing = http_get hp "/nosuch" in
-            Test_util.check_bool "http 404" true (contains missing "404")));
+            (String.length ts > 0 && ts.[0] = '[' && contains ts "at_ms")));
   (* The slow log (threshold 0: everything is slow) was written and
      closed by the drain; every line is a JSON record. *)
   let ic = open_in slow_path in
@@ -922,66 +1027,178 @@ let live_observability () =
         (String.length line > 0 && line.[0] = '{' && contains line "elapsed_ns"))
     !lines
 
+let live_trace b =
+  b.with_front [ ("plays", small_plays ()) ] (fun { port; _ } ->
+      C.with_client port (fun c ->
+          let q = "/PLAYS/PLAY/ACT/SCENE/SPEECH/LINE" in
+          let body =
+            expect_ok "traced query"
+              (C.query ~trace:true c ~doc:"plays" ~translator:Blas.Pushup
+                 ~engine:Blas.Rdbms q)
+          in
+          List.iter
+            (fun span ->
+              Test_util.check_bool ("trace has " ^ span) true
+                (contains body (Printf.sprintf "\"name\":\"%s\"" span)))
+            ("request" :: "queue-wait" :: b.spans);
+          Test_util.check_bool "trace carries the payload" true
+            (contains body "\"payload\"");
+          (* The trace is retained for TRACE GET, by its id. *)
+          let id = extract_quoted body "trace_id" in
+          (match C.trace_get c id with
+          | P.Ok_payload stored ->
+            Test_util.check_bool "stored trace is the reply body" true
+              (contains stored id && contains stored "queue-wait")
+          | reply ->
+            Alcotest.failf "TRACE GET: %s" (P.reply_to_string reply));
+          (match C.trace_get c "nosuch-id" with
+          | P.Err _ -> ()
+          | reply ->
+            Alcotest.failf "TRACE GET nosuch: %s" (P.reply_to_string reply));
+          (* An untraced reply stays the plain payload. *)
+          let plain =
+            expect_ok "plain query"
+              (C.query c ~doc:"plays" ~translator:Blas.Pushup
+                 ~engine:Blas.Rdbms q)
+          in
+          Test_util.check_bool "no trace envelope without the header" false
+            (contains plain "trace_id")))
+
+let live_metrics b =
+  b.with_front ~metrics_port:0 [ ("plays", small_plays ()) ]
+  @@ fun { port; fe; _ } ->
+  let requests = b.prefix ^ "_requests_total" in
+  C.with_client port (fun c ->
+      ignore
+        (expect_ok "query"
+           (C.query c ~doc:"plays" ~translator:Blas.Pushup
+              ~engine:Blas.Rdbms "//LINE"));
+      Test_util.check_bool ("METRICS counts " ^ requests) true
+        (prom_sum (C.metrics c) requests >= 1.0);
+      let mjson = C.metrics ~json:true c in
+      Test_util.check_bool "metrics json is a list" true
+        (String.length mjson > 0 && mjson.[0] = '[');
+      let ts = C.timeseries c in
+      Test_util.check_bool "timeseries is a list" true
+        (String.length ts > 0 && ts.[0] = '['));
+  (* The HTTP listener serves the same exposition. *)
+  match Fe.metrics_port fe with
+  | None -> Alcotest.fail "metrics port not bound"
+  | Some hp ->
+    let page = http_get hp "/metrics" in
+    Test_util.check_bool "http 200" true (contains page "200 OK");
+    Test_util.check_bool "http exposition" true (contains page requests);
+    Test_util.check_bool "http json" true
+      (contains (http_get hp "/metrics.json") "200 OK");
+    let missing = http_get hp "/nosuch" in
+    Test_util.check_bool "http 404" true (contains missing "404")
+
+(* ------------------------------------------------------------------ *)
+(* Live: one-shot headers                                              *)
+
+(* DEADLINE and TRACE apply to the next command only — whatever its
+   verb or outcome, a header never leaks past it onto a later one. *)
+let live_one_shot_headers b =
+  b.with_front ~allow_sleep:false [ ("plays", small_plays ()) ]
+  @@ fun { port; _ } ->
+  C.with_client port (fun c ->
+      let query () =
+        C.query c ~doc:"plays" ~translator:Blas.Pushup ~engine:Blas.Rdbms
+          "//SPEAKER"
+      in
+      let plain = expect_ok "plain query" (query ()) in
+      let expect_plain what =
+        Test_util.check_string what plain (expect_ok what (query ()))
+      in
+      C.send_line c "DEADLINE 0";
+      Test_util.check_bool "DEADLINE 0 times the next QUERY out" true
+        (query () = P.Timeout);
+      expect_plain "the deadline was one-shot";
+      (* A refused SLEEP still consumes the pending headers. *)
+      C.send_line c "DEADLINE 0";
+      (match C.raw c "SLEEP 1" with
+      | P.Err _ -> ()
+      | reply -> Alcotest.failf "SLEEP: %s" (P.reply_to_string reply));
+      expect_plain "DEADLINE does not leak past a refused SLEEP";
+      C.send_line c "TRACE";
+      ignore (C.raw c "SLEEP 1");
+      expect_plain "TRACE does not leak past a refused SLEEP";
+      (* So does an inline verb. *)
+      C.send_line c "DEADLINE 0";
+      ignore (C.stats c);
+      expect_plain "DEADLINE does not leak past STATS")
+
 (* ------------------------------------------------------------------ *)
 (* Live: graceful drain                                                *)
 
-let live_drain () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  let srv = Srv.start { live_config with Srv.port = 0 } ~docs in
-  let port = Srv.port srv in
-  (* An in-flight request across the drain still gets its reply. *)
-  let straggler = C.connect port in
-  let straggler_reply = ref P.Busy in
-  let straggler_thread =
-    Thread.create (fun () -> straggler_reply := C.sleep straggler 150) ()
-  in
-  Thread.delay 0.05;
-  Srv.stop srv;
-  Thread.join straggler_thread;
-  C.close straggler;
-  Test_util.check_bool "in-flight request completed across the drain" true
-    (match !straggler_reply with P.Ok_payload _ -> true | _ -> false);
-  (* The port is released and new connections are refused. *)
-  (match raw_socket port with
-  | fd ->
-    (* A lingering listener backlog can accept once; it must at least
-       not answer. *)
-    Unix.close fd
-  | exception Unix.Unix_error (ECONNREFUSED, _, _) -> ());
-  (* stop is idempotent. *)
-  Srv.stop srv
+let live_drain b =
+  b.with_front [ ("plays", small_plays ()) ] (fun { port; fe; hog } ->
+      (* An in-flight request across the drain still gets its reply. *)
+      let straggler = hog 150 in
+      Fe.stop fe;
+      Test_util.check_bool "in-flight request completed across the drain" true
+        (match straggler () with P.Ok_payload _ -> true | _ -> false);
+      (* The port is released and new connections are refused. *)
+      (match raw_socket port with
+      | fd ->
+        (* A lingering listener backlog can accept once; it must at least
+           not answer. *)
+        Unix.close fd
+      | exception Unix.Unix_error (ECONNREFUSED, _, _) -> ());
+      (* stop is idempotent (and runs once more on the way out). *)
+      Fe.stop fe)
 
-let live_shutdown_verb () =
-  let docs = [ ("plays", Blas.index_of_tree (small_plays ())) ] in
-  let srv = Srv.start { live_config with Srv.port = 0 } ~docs in
-  C.with_client (Srv.port srv) (fun c -> C.shutdown c);
-  (* wait returns because the verb requested shutdown. *)
-  Srv.wait srv;
-  Srv.stop srv;
-  Test_util.check_bool "drained after SHUTDOWN verb" true true
+let live_shutdown_verb b =
+  b.with_front [ ("plays", small_plays ()) ] (fun { port; fe; _ } ->
+      C.with_client port (fun c -> C.shutdown c);
+      (* wait returns because the verb requested shutdown. *)
+      Fe.wait fe;
+      Fe.stop fe;
+      Test_util.check_bool "drained after SHUTDOWN verb" true true)
 
 (* ------------------------------------------------------------------ *)
+
+(* The front-end tests, run against each backend. *)
+let front_tests =
+  [
+    ("BUSY when the admission queue is full", live_busy);
+    ("oversized frame rejected", live_oversized_frame);
+    ("garbage keeps the connection", live_garbage_keeps_connection);
+    ("half-close and mid-query disconnect", live_half_close_and_disconnect);
+    ("graceful drain", live_drain);
+    ("SHUTDOWN verb", live_shutdown_verb);
+    ("one-shot headers never leak", live_one_shot_headers);
+    ("TRACE and TRACE GET", live_trace);
+    ("METRICS, time series and HTTP /metrics", live_metrics);
+  ]
+
+let front_test b name =
+  (b.label ^ name, fun () -> (List.assoc name front_tests) b)
 
 let suite =
   List.map
     (fun (n, f) -> Alcotest.test_case n `Quick f)
-    [
-      ("protocol round-trips", proto_roundtrip);
-      ("protocol rejects garbage", proto_rejects_garbage);
-      ("rwlock discipline", rwlock_discipline);
-      ("rwlock writer-starvation bound", rwlock_writer_starvation_bound);
-      ("service replies match in-process runs", service_matches_inprocess);
-      ("group commit batches WAL fsyncs", group_commit_batches_fsyncs);
-      ("group commit is crash safe", group_commit_crash_safety);
-      ("live: basics", live_basics);
-      ("live: 4 concurrent clients, byte-identical replies", live_concurrent_queries);
-      ("live: BUSY when the admission queue is full", live_busy);
-      ("live: deadlines answer TIMEOUT", live_timeout);
-      ("live: oversized frame rejected", live_oversized_frame);
-      ("live: garbage keeps the connection", live_garbage_keeps_connection);
-      ("live: half-close and mid-query disconnect", live_half_close_and_disconnect);
-      ("live: soak with live edits", live_soak);
-      ("live: traces, metrics, time series, slow log", live_observability);
-      ("live: graceful drain", live_drain);
-      ("live: SHUTDOWN verb", live_shutdown_verb);
-    ]
+    ([
+       ("protocol round-trips", proto_roundtrip);
+       ("protocol rejects garbage", proto_rejects_garbage);
+       ("rwlock discipline", rwlock_discipline);
+       ("rwlock writer-starvation bound", rwlock_writer_starvation_bound);
+       ("service replies match in-process runs", service_matches_inprocess);
+       ("group commit batches WAL fsyncs", group_commit_batches_fsyncs);
+       ("group commit is crash safe", group_commit_crash_safety);
+       ("live: basics", live_basics);
+       ("live: 4 concurrent clients, byte-identical replies", live_concurrent_queries);
+       front_test server_backend "BUSY when the admission queue is full";
+       ("live: deadlines answer TIMEOUT", live_timeout);
+       front_test server_backend "oversized frame rejected";
+       front_test server_backend "garbage keeps the connection";
+       front_test server_backend "half-close and mid-query disconnect";
+       ("live: soak with live edits", live_soak);
+       ("live: traces, metrics, time series, slow log", live_observability);
+       front_test server_backend "graceful drain";
+       front_test server_backend "SHUTDOWN verb";
+       front_test server_backend "one-shot headers never leak";
+       front_test server_backend "TRACE and TRACE GET";
+       front_test server_backend "METRICS, time series and HTTP /metrics";
+     ]
+    @ List.map (fun (name, _) -> front_test router_backend name) front_tests)
